@@ -254,7 +254,6 @@ def cmd_depot(args) -> int:
 # -- send ------------------------------------------------------------------------
 def cmd_send(args) -> int:
     """Send a file through LSL depots to a sink."""
-    from repro.lsl.faults import RetryPolicy
     from repro.lsl.header import SessionHeader, new_session_id
     from repro.lsl.options import LooseSourceRoute
     from repro.lsl.socket_transport import send_session
@@ -281,12 +280,10 @@ def cmd_send(args) -> int:
         options=options,
     )
     first_hop = hops[0] if hops else sink
-    retry = RetryPolicy() if getattr(args, "resume", False) else None
     report = send_session(
         payload,
         header,
         first_hop,
-        retry=retry,
         registry=registry,
         timeline=timeline,
     )
@@ -294,11 +291,10 @@ def cmd_send(args) -> int:
         f"sent {len(payload)} bytes as session {header.hex_id} via "
         f"{len(hops)} depot(s)"
     )
-    if report is not None:
-        print(
-            f"resume protocol: {report.attempts} attempt(s), "
-            f"{report.retransmitted} byte(s) retransmitted"
-        )
+    print(
+        f"resume protocol: {report.attempts} attempt(s), "
+        f"{report.retransmitted} byte(s) retransmitted"
+    )
     if metrics_path is not None:
         from repro.obs import write_export
 

@@ -151,14 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated depot chain",
     )
     p.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "send fault-tolerantly (resume protocol with retries) and "
-            "report attempts/retransmitted bytes"
-        ),
-    )
-    p.add_argument(
         "--metrics",
         default=None,
         metavar="FILE",

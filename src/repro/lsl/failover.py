@@ -286,8 +286,6 @@ class FailoverSender:
                     session_id.hex(), route, exc, sorted(avoided),
                 )
                 continue
-            # send_session returns a SendReport on the resumable path
-            assert sent is not None
             for host in route[1:-1]:
                 if host in self.health.targets:
                     self.health.breaker(host).record_success()

@@ -375,7 +375,6 @@ class MulticastFailoverSender:
                     [_label(a) for a in chain], exc, sorted(avoided),
                 )
                 continue
-            assert sent is not None
             for addr in chain:
                 label = self._host_label(addr)
                 if label in self.health.targets:

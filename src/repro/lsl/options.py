@@ -183,13 +183,13 @@ class MulticastTreeOption(HeaderOption):
 
 @dataclass(frozen=True)
 class ResumeOffset(HeaderOption):
-    """Byte-offset resume for fault-tolerant sessions.
+    """Byte-offset resume: carried by every data session.
 
-    Presence of this option marks the session fault-tolerant: a node
-    accepting such a session replies with an 8-byte acknowledgement
+    A node accepting a session replies with an 8-byte acknowledgement
     point (the contiguous byte count it has durably received) and the
     sender streams payload from there, so a reconnect after a sublink
     failure retransmits only that sublink's unacknowledged bytes.
+    Depots and sinks reject a data header without this option.
 
     Attributes
     ----------

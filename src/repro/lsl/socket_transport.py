@@ -7,36 +7,31 @@ byte streams and the real wire format from :mod:`repro.lsl.header`.
 
 * :class:`DepotServer` — accepts a session, parses the header, advances
   the loose source route (or consults a route table keyed by
-  ``ip:port`` strings), opens the onward connection and pumps bytes
-  through a bounded user-space buffer;
+  ``ip:port`` strings), stages the payload and pumps it onward;
 * :class:`SinkServer` — terminates sessions and stores payloads by
   session id;
 * :func:`send_session` — the source side: connect, emit header, stream
   payload.
 
-Fault tolerance
----------------
-A session whose header carries a :class:`~repro.lsl.options.ResumeOffset`
-option is *fault-tolerant*: every receiving node replies with an 8-byte
-acknowledgement point, stages the payload in a
-:class:`~repro.lsl.faults.SessionLedger` that survives reconnects, and
-confirms completion with a final 8-byte acknowledgement.  Senders (the
-source and each depot's downstream side) retry failed sublinks under a
-:class:`~repro.lsl.faults.RetryPolicy`, resuming from the byte the peer
-acknowledged — recovery cost is proportional to the failed sublink only.
-Servers additionally consult an optional
-:class:`~repro.lsl.faults.FaultPlan` so tests can inject connection
-drops, refused connects, stalls and corrupted headers deterministically.
+One session protocol
+--------------------
+Every session is *fault-tolerant* and *striped*: its header carries a
+:class:`~repro.lsl.options.ResumeOffset` option with the payload length,
+and it runs as N parallel striped sublinks (GridFTP-style), N = 1 by
+default.  A header without a :class:`~repro.lsl.options.StripeOption`
+is stripe 0 of 1.  Each stripe connection transports an interleaved
+slice of the payload in stripe-local order; every receiving node
+replies with an 8-byte acknowledgement point, stages the slice in the
+session's :class:`~repro.lsl.faults.SessionLedger` (which survives
+reconnects) and confirms the stripe with a final 8-byte
+acknowledgement.  Senders (the source and each depot's downstream side)
+retry failed sublinks under a :class:`~repro.lsl.faults.RetryPolicy`,
+resuming each stripe from the byte the peer acknowledged — recovery cost
+is proportional to the failed sublink only.  Servers additionally
+consult an optional :class:`~repro.lsl.faults.FaultPlan` so tests can
+inject connection drops, refused connects, stalls and corrupted headers
+deterministically.
 
-Striping and multicast
-----------------------
-A session whose header also carries a
-:class:`~repro.lsl.options.StripeOption` runs as one of N parallel
-*striped sublinks* (GridFTP-style): each stripe connection transports an
-interleaved slice of the payload in stripe-local order, every node
-reassembles the slices positionally through the shared
-:class:`~repro.lsl.faults.SessionLedger`, and the resume protocol runs
-per stripe — each stripe acknowledges and resumes at its own watermark.
 Sessions of type :attr:`~repro.lsl.header.SessionType.MULTICAST` retain
 their completed ledgers instead of evicting them, so a staging tree's
 ancestors can replay the payload toward descendants (and toward orphaned
@@ -55,6 +50,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.lsl.faults import (
     FaultKind,
@@ -90,6 +86,9 @@ _SOCK_BUF = 128 << 10
 #: The 8-byte network-order acknowledgement used by the resume handshake
 #: (once after the header, once after the final payload byte).
 RESUME_ACK = struct.Struct("!Q")
+
+#: The layout of a session whose header carries no stripe option.
+_ONE_STRIPE = StripeOption(index=0, count=1)
 
 
 class SessionEnded(ConnectionError):
@@ -127,28 +126,6 @@ def _abort_socket(sock: socket.socket) -> None:
         sock.close()
     except OSError:
         pass
-
-
-def _connect_with_retry(
-    address: tuple[str, int], policy: RetryPolicy
-) -> socket.socket:
-    """Open a TCP connection under ``policy``'s timeout and retry budget.
-
-    Only the connect itself is retried (a refused or unreachable listener
-    often just restarted); once the socket is open, stream errors
-    propagate to the caller untouched.
-    """
-    attempts = 0
-    while True:
-        try:
-            return socket.create_connection(
-                address, timeout=policy.connect_timeout
-            )
-        except (ConnectionError, OSError):
-            attempts += 1
-            if attempts > policy.max_retries:
-                raise
-            time.sleep(policy.delay(attempts - 1))
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -197,8 +174,13 @@ def read_header(sock: socket.socket) -> SessionHeader:
     return header
 
 
+def _stripe_detail(ledger: SessionLedger, stripe: int) -> str:
+    """Event detail naming a striped session's stripe ("" for one)."""
+    return f"stripe={stripe}" if ledger.stripes > 1 else ""
+
+
 class _Server:
-    """Shared accept-loop plumbing for depot and sink servers."""
+    """Shared accept loop and session receive path of depots and sinks."""
 
     def __init__(
         self,
@@ -218,6 +200,9 @@ class _Server:
         if not hasattr(self, "errors"):
             self.errors: list = []
         self.leaked_threads: list[threading.Thread] = []
+        #: staging ledgers of in-flight sessions, keyed by hex session id
+        self._ledgers: dict[str, SessionLedger] = {}
+        self._ledger_lock = threading.Lock()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         _cap_buffers(self._sock)  # inherited by accepted connections
@@ -227,7 +212,8 @@ class _Server:
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._handler_seq = 0
-        self._conns: set[socket.socket] = set()
+        #: live connections -> their accept sequence numbers
+        self._conns: dict[socket.socket, int] = {}
         self._conn_lock = threading.Lock()
         #: guards the thread registry (_threads, _handler_seq) and the
         #: errors list, both shared between handler threads and close()
@@ -258,7 +244,7 @@ class _Server:
                 seq = self._handler_seq
             thread = threading.Thread(
                 target=self._safe_handle,
-                args=(conn,),
+                args=(conn, seq),
                 name=f"lsl:{self.name}:h{seq}:{peer[0]}:{peer[1]}",
                 daemon=True,
             )
@@ -266,9 +252,9 @@ class _Server:
             with self._reg_lock:
                 self._threads.append(thread)
 
-    def _safe_handle(self, conn: socket.socket) -> None:
+    def _safe_handle(self, conn: socket.socket, seq: int) -> None:
         with self._conn_lock:
-            self._conns.add(conn)
+            self._conns[conn] = seq
         try:
             if self.fault_plan is not None and self.fault_plan.should_refuse(
                 self.name
@@ -293,7 +279,7 @@ class _Server:
             ).inc()
         finally:
             with self._conn_lock:
-                self._conns.discard(conn)
+                self._conns.pop(conn, None)
             try:
                 conn.close()
             except OSError:
@@ -302,6 +288,131 @@ class _Server:
     def handle(self, conn: socket.socket) -> None:  # pragma: no cover
         raise NotImplementedError
 
+    # -- the session receive path ---------------------------------------------
+    def _ledger_for(
+        self, header: SessionHeader
+    ) -> tuple[SessionLedger, int]:
+        """The session's ledger and the stripe this connection carries.
+
+        Raises
+        ------
+        ValueError
+            The header lacks a resume option, disagrees with the stripe
+            layout of the session's existing ledger, or announces a
+            total this server cannot allocate.
+        """
+        resume = header.option(ResumeOffset)
+        if resume is None:
+            raise ValueError(
+                f"session {header.hex_id} lacks a resume option"
+            )
+        stripe = header.option(StripeOption) or _ONE_STRIPE
+        with self._ledger_lock:
+            ledger = self._ledgers.get(header.hex_id)
+            if ledger is None:
+                ledger = SessionLedger(
+                    resume.total, stripes=stripe.count, block=stripe.block
+                )
+                self._ledgers[header.hex_id] = ledger
+            elif not ledger.matches(stripe.count, stripe.block):
+                raise ValueError(
+                    f"session {header.hex_id} stripe layout mismatch: ledger "
+                    f"x{ledger.stripes}/block {ledger.block}, connection "
+                    f"x{stripe.count}/block {stripe.block}"
+                )
+            elif ledger.stripe_generation(stripe.index) > 0:
+                # an earlier connection claimed this stripe: a resume
+                self._note_resumed()
+            return ledger, stripe.index
+
+    def _note_resumed(self) -> None:
+        """Hook: a connection resumes a stripe an earlier one claimed."""
+
+    def _evict_ledger(self, hex_id: str) -> None:
+        with self._ledger_lock:
+            self._ledgers.pop(hex_id, None)
+
+    def _receive(
+        self,
+        conn: socket.socket,
+        header: SessionHeader,
+        ledger: SessionLedger,
+        stripe: int,
+        on_complete: Callable[[], None],
+        pump: "_DownstreamPump | None" = None,
+    ) -> bool:
+        """Serve one stripe connection of a session, header to final ack.
+
+        Claims the stripe for this connection, replies with its
+        acknowledgement point and stages inbound bytes in the ledger
+        (consulting the fault plan), handing each chunk to ``pump`` when
+        the session is forwarded.  Once the stripe is whole, drains the
+        pump, runs ``on_complete`` if this connection completed the
+        ledger, and sends the final ack.  Returns True when this
+        connection completed the ledger.
+
+        A connection accepted before the stripe's current claimant is
+        stale: it is closed without an ack.
+        """
+        with self._conn_lock:
+            seq = self._conns.get(conn, 0)
+        acked = ledger.claim_stripe(stripe, seq)
+        if acked is None:
+            _LOG.debug(
+                "%s: stale connection %d for session %s stripe %d closed",
+                self.name, seq, header.hex_id, stripe,
+            )
+            return False
+        conn.sendall(RESUME_ACK.pack(acked))
+        detail = _stripe_detail(ledger, stripe)
+        if acked > 0:
+            self.timeline.record(
+                "resume", node=self.name, stream=STREAM_UP,
+                session=header.hex_id, nbytes=acked, detail=detail,
+            )
+        goal = ledger.stripe_total(stripe)
+        progress = _RxProgress(self, header.hex_id, goal, acked)
+        watch = (
+            self.fault_plan.stream_watch(self.name)
+            if self.fault_plan is not None
+            else None
+        )
+        while acked < goal:
+            try:
+                data = conn.recv(_IO_CHUNK)
+            except OSError:
+                data = b""
+            rule = watch.advance(len(data)) if watch is not None and data else None
+            if rule is not None and rule.kind is FaultKind.STALL:
+                time.sleep(rule.delay)
+            elif rule is not None and rule.kind is FaultKind.DROP:
+                _abort_socket(conn)
+                data = b""
+            if not data:
+                raise TruncatedStream(
+                    f"session {header.hex_id} stripe {stripe} interrupted "
+                    f"at {acked}/{goal} bytes; awaiting resume"
+                )
+            if not ledger.append_stripe(stripe, seq, data):
+                return False  # a later connection took over this stripe
+            acked += len(data)
+            progress.note(acked, len(data))
+            if pump is not None:
+                pump.flush()
+        if ledger.stripe_generation(stripe) != seq:
+            return False
+        progress.eof()
+        if pump is not None:
+            pump.finish()
+        # complete before acking upstream: once the ack is out the whole
+        # chain unwinds, and callers joining on it must see the result
+        completed = ledger.claim_completion()
+        if completed:
+            on_complete()
+        conn.sendall(RESUME_ACK.pack(goal))
+        return completed
+
+    # -- shutdown -------------------------------------------------------------
     def close(self, timeout: float = 5.0, abort: bool = False) -> None:
         """Stop accepting and wait for in-flight sessions to finish.
 
@@ -401,18 +512,15 @@ class _Server:
 
 
 class _DownstreamPump:
-    """A depot's fault-tolerant downstream side for one session.
+    """A depot's fault-tolerant downstream side for one stripe.
 
     Lazily connects toward ``next_hop``, performs the resume handshake,
-    streams newly staged ledger bytes, and transparently reconnects
-    (bounded by the depot's :class:`~repro.lsl.faults.RetryPolicy`) when
-    the sublink fails — resending only bytes the downstream node had not
-    acknowledged.
-
-    With ``stripe`` given the pump serves one striped sublink: offsets
-    are stripe-local, staged bytes are gathered with
-    :meth:`~repro.lsl.faults.SessionLedger.read_stripe`, and the final
-    acknowledgement must equal that stripe's share of the payload.
+    streams newly staged ledger bytes of its stripe, and transparently
+    reconnects (bounded by the depot's
+    :class:`~repro.lsl.faults.RetryPolicy`) when the sublink fails —
+    resending only bytes the downstream node had not acknowledged.
+    Offsets are stripe-local and the final acknowledgement must equal
+    the stripe's share of the payload.
     """
 
     def __init__(
@@ -421,7 +529,7 @@ class _DownstreamPump:
         next_hop: tuple[str, int],
         header: SessionHeader,
         ledger: SessionLedger,
-        stripe: StripeOption | None = None,
+        stripe: int,
     ) -> None:
         self._depot = depot
         self._next_hop = next_hop
@@ -429,31 +537,11 @@ class _DownstreamPump:
         self._ledger = ledger
         self._stripe = stripe
         self._sock: socket.socket | None = None
-        self._fwd = 0  # next (stripe-local) offset to send downstream
+        self._fwd = 0  # next stripe-local offset to send downstream
         self._attempts = 0
         self._tx = depot.obs.counter(
             "lsl_tx_bytes_total", labels={"node": depot.name}
         )
-
-    def _staged(self) -> int:
-        if self._stripe is None:
-            return self._ledger.acked
-        return self._ledger.stripe_acked(self._stripe.index)
-
-    def _goal(self) -> int:
-        if self._stripe is None:
-            return self._ledger.total
-        return self._ledger.stripe_total(self._stripe.index)
-
-    def _read(self, start: int, end: int) -> bytes:
-        if self._stripe is None:
-            return self._ledger.read(start, end)
-        return self._ledger.read_stripe(self._stripe.index, start, end)
-
-    def _note_sent(self, start: int, end: int) -> int:
-        if self._stripe is None:
-            return self._ledger.note_sent(start, end)
-        return self._ledger.note_stripe_sent(self._stripe.index, start, end)
 
     def _backoff(self, exc: Exception) -> None:
         self._drop_socket()
@@ -524,14 +612,15 @@ class _DownstreamPump:
 
     def flush(self) -> None:
         """Push every staged byte beyond the forward point downstream."""
+        stripe = self._stripe
         while True:
-            staged = self._staged()
+            staged = self._ledger.stripe_acked(stripe)
             if self._fwd >= staged and self._sock is not None:
                 return
             if self._sock is None:
                 self._connect()
                 continue
-            chunk = self._read(self._fwd, staged)
+            chunk = self._ledger.read_stripe(stripe, self._fwd, staged)
             if not chunk:
                 return
             try:
@@ -541,13 +630,15 @@ class _DownstreamPump:
                 continue
             end = self._fwd + len(chunk)
             self._tx.inc(len(chunk))
-            self._depot._note_retransmitted(
-                self._note_sent(self._fwd, end)
+            self._depot._note_sent(
+                len(chunk),
+                self._ledger.note_stripe_sent(stripe, self._fwd, end),
             )
             self._fwd = end
 
     def finish(self) -> None:
         """Flush, half-close, and insist on the downstream final ack."""
+        goal = self._ledger.stripe_total(self._stripe)
         while True:
             try:
                 self.flush()
@@ -556,10 +647,9 @@ class _DownstreamPump:
                 final = RESUME_ACK.unpack(
                     _read_exact(self._sock, RESUME_ACK.size)
                 )[0]
-                if final != self._goal():
+                if final != goal:
                     raise TruncatedStream(
-                        f"downstream acknowledged {final} of "
-                        f"{self._goal()} bytes"
+                        f"downstream acknowledged {final} of {goal} bytes"
                     )
                 self._depot.timeline.record(
                     "complete",
@@ -567,10 +657,7 @@ class _DownstreamPump:
                     stream=STREAM_DOWN,
                     session=self._header.hex_id,
                     nbytes=final,
-                    detail=(
-                        "" if self._stripe is None
-                        else f"stripe={self._stripe.index}"
-                    ),
+                    detail=_stripe_detail(self._ledger, self._stripe),
                 )
                 return
             except (ConnectionError, OSError) as exc:
@@ -583,6 +670,10 @@ class _DownstreamPump:
 class DepotServer(_Server):
     """A forwarding depot on real sockets.
 
+    Every session stages its full payload in a
+    :class:`~repro.lsl.faults.SessionLedger` — that retained copy is what
+    makes depot-resume possible.
+
     Parameters
     ----------
     host, port:
@@ -591,11 +682,6 @@ class DepotServer(_Server):
         Optional ``dest_ip -> next_hop_ip:port`` strings mapping used
         when a session carries no loose source route.  Values are
         ``"ip:port"``.
-    buffer_size:
-        User-space relay buffer per session, in bytes (the store in
-        store-and-forward).  Fault-tolerant sessions instead stage up to
-        the full payload in a :class:`~repro.lsl.faults.SessionLedger` —
-        that retained copy is what makes depot-resume possible.
     name:
         Label used by :class:`~repro.lsl.faults.FaultPlan` rules and
         diagnostics (defaults to ``"depotserver"``).
@@ -610,25 +696,19 @@ class DepotServer(_Server):
         host: str = "127.0.0.1",
         port: int = 0,
         route_table: dict[str, str] | None = None,
-        buffer_size: int = 1 << 20,
         name: str | None = None,
         fault_plan: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         registry: Registry | None = None,
         timeline: SessionTimeline | None = None,
     ) -> None:
-        # An integer check, not just positivity: a fractional size like
-        # 0.5 used to truncate to recv(0), which reads as instant EOF
-        # and silently drops the session payload.
-        check_positive_int("buffer_size", buffer_size)
         self.route_table = dict(route_table or {})
-        self.buffer_size = buffer_size
         self.retry = retry or RetryPolicy()
         self.sessions_forwarded = 0
         self.bytes_forwarded = 0
         #: bytes this depot sent downstream more than once (recovery cost)
         self.retransmitted_bytes = 0
-        #: fault-tolerant sessions that resumed after an interruption
+        #: stripe connections that resumed after an interruption
         self.sessions_resumed = 0
         #: guards the forwarding counters, which concurrent session
         #: handlers update
@@ -637,9 +717,6 @@ class DepotServer(_Server):
         #: asynchronous sessions parked here, keyed by hex session id
         self.held: dict[str, bytes] = {}
         self._held_lock = threading.Lock()
-        #: staging ledgers of in-flight fault-tolerant sessions
-        self._ledgers: dict[str, SessionLedger] = {}
-        self._ledger_lock = threading.Lock()
         super().__init__(
             host,
             port,
@@ -664,32 +741,17 @@ class DepotServer(_Server):
             return (ip, int(port)), header
         return (header.dst_ip, header.dst_port), header
 
-    def _ledger_for(
-        self, hex_id: str, total: int, stripe: StripeOption | None = None
-    ) -> SessionLedger:
-        stripes = 1 if stripe is None else stripe.count
-        block = 16 << 10 if stripe is None else stripe.block
-        with self._ledger_lock:
-            ledger = self._ledgers.get(hex_id)
-            if ledger is None:
-                ledger = SessionLedger(total, stripes=stripes, block=block)
-                self._ledgers[hex_id] = ledger
-            else:
-                if not ledger.matches(stripes, block):
-                    raise ValueError(
-                        f"session {hex_id} stripe layout mismatch: ledger "
-                        f"x{ledger.stripes}/block {ledger.block}, connection "
-                        f"x{stripes}/block {block}"
-                    )
-                if stripe is None:
-                    # _stats_lock nests inside _ledger_lock here; no other
-                    # path takes them in the opposite order.  Striped
-                    # connections count their own resumes per stripe —
-                    # stripes 2..N finding the ledger stripe 1 created is
-                    # normal operation, not a recovery.
-                    with self._stats_lock:
-                        self.sessions_resumed += 1
-            return ledger
+    def _note_resumed(self) -> None:
+        # _stats_lock nests inside _ledger_lock here (called from
+        # _ledger_for); no path takes them in the opposite order.
+        with self._stats_lock:
+            self.sessions_resumed += 1
+
+    def _note_sent(self, nbytes: int, retransmitted: int) -> None:
+        """Count ``nbytes`` sent downstream, ``retransmitted`` of them again."""
+        with self._stats_lock:
+            self.bytes_forwarded += nbytes - retransmitted
+            self.retransmitted_bytes += retransmitted
 
     def snapshot(self) -> dict[str, int]:
         """A consistent view of the traffic counters, under the lock.
@@ -723,17 +785,8 @@ class DepotServer(_Server):
             ).set(value)
         return target
 
-    def _evict_ledger(self, hex_id: str) -> None:
-        with self._ledger_lock:
-            self._ledgers.pop(hex_id, None)
-
-    def _note_retransmitted(self, nbytes: int) -> None:
-        """Count downstream bytes sent more than once (recovery cost)."""
-        with self._stats_lock:
-            self.retransmitted_bytes += nbytes
-
     def handle(self, conn: socket.socket) -> None:
-        """Serve one inbound session: park, pick up, resume, or forward."""
+        """Serve one inbound connection: pick up, park, or forward."""
         header = read_header(conn)
         self.timeline.record(
             "header_rx", node=self.name, stream=STREAM_UP,
@@ -750,110 +803,28 @@ class DepotServer(_Server):
                 raise ValueError(f"no held session {header.hex_id}")
             conn.sendall(payload)
             return
-        resume = header.option(ResumeOffset)
-        stripe = header.option(StripeOption)
-        if stripe is not None and resume is None:
-            raise ValueError(
-                f"striped session {header.hex_id} lacks a resume option"
-            )
-        # sessions addressed to this depot are parked, not forwarded
+        ledger, stripe = self._ledger_for(header)
+        pump = None
         if (header.dst_ip, header.dst_port) == (self.host, self.port):
-            if stripe is not None:
-                self._park_striped(conn, header, resume, stripe)
-                return
-            if resume is not None:
-                self._park_resumable(conn, header, resume)
-                return
-            rx = self.obs.counter(
-                "lsl_rx_bytes_total", labels={"node": self.name}
-            )
-            chunks = bytearray()
-            while True:
-                data = conn.recv(_IO_CHUNK)
-                if not data:
-                    break
-                if not chunks:
-                    self.timeline.record(
-                        "first_byte", node=self.name, stream=STREAM_UP,
-                        session=header.hex_id, nbytes=len(data),
-                    )
-                chunks += data
-                rx.inc(len(data))
-            self.timeline.record(
-                "eof", node=self.name, stream=STREAM_UP,
-                session=header.hex_id, nbytes=len(chunks),
-            )
-            with self._held_lock:
-                self.held[header.hex_id] = bytes(chunks)
-            return
-        if stripe is not None:
-            self._forward_striped(conn, header, resume, stripe)
-            return
-        if resume is not None:
-            self._forward_resumable(conn, header, resume)
-            return
-        next_hop, out_header = self._next_hop(header)
-        watch = (
-            self.fault_plan.stream_watch(self.name)
-            if self.fault_plan is not None
-            else None
-        )
-        rx = self.obs.counter(
-            "lsl_rx_bytes_total", labels={"node": self.name}
-        )
-        tx = self.obs.counter(
-            "lsl_tx_bytes_total", labels={"node": self.name}
-        )
-        with _connect_with_retry(next_hop, self.retry) as out:
-            self.timeline.record(
-                "connect", node=self.name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            self.timeline.record(
-                "header_tx", node=self.name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            encoded = out_header.encode()
-            if self.fault_plan is not None:
-                encoded = self.fault_plan.corrupt_header(self.name, encoded)
-            out.sendall(encoded)
-            # bounded store-and-forward pump
-            received = 0
-            while True:
-                data = conn.recv(min(_IO_CHUNK, self.buffer_size))
-                if not data:
-                    break
-                if received == 0:
-                    self.timeline.record(
-                        "first_byte", node=self.name, stream=STREAM_UP,
-                        session=header.hex_id, nbytes=len(data),
-                    )
-                if watch is not None:
-                    rule = watch.advance(len(data))
-                    if rule is not None:
-                        if rule.kind is FaultKind.STALL:
-                            time.sleep(rule.delay)
-                        elif rule.kind is FaultKind.DROP:
-                            _abort_socket(conn)
-                            raise TruncatedStream(
-                                f"injected drop at {self.name}"
-                            )
-                out.sendall(data)
-                received += len(data)
-                rx.inc(len(data))
-                tx.inc(len(data))
+            # sessions addressed to this depot are parked, not forwarded
+            def complete() -> None:
+                payload = ledger.read()
+                with self._held_lock:
+                    self.held[header.hex_id] = payload
+        else:
+            next_hop, out_header = self._next_hop(header)
+            pump = _DownstreamPump(self, next_hop, out_header, ledger, stripe)
+
+            def complete() -> None:
                 with self._stats_lock:
-                    self.bytes_forwarded += len(data)
-        self.timeline.record(
-            "eof", node=self.name, stream=STREAM_UP,
-            session=header.hex_id, nbytes=received,
-        )
-        self.timeline.record(
-            "complete", node=self.name, stream=STREAM_DOWN,
-            session=header.hex_id, nbytes=received,
-        )
-        with self._stats_lock:
-            self.sessions_forwarded += 1
+                    self.sessions_forwarded += 1
+        try:
+            done = self._receive(conn, header, ledger, stripe, complete, pump)
+        finally:
+            if pump is not None:
+                pump.close()
+        if done and not self._retains_ledger(header):
+            self._evict_ledger(header.hex_id)
 
     def _retains_ledger(self, header: SessionHeader) -> bool:
         """Multicast sessions keep their completed ledgers.
@@ -866,199 +837,9 @@ class DepotServer(_Server):
         """
         return header.session_type == SessionType.MULTICAST
 
-    # -- fault-tolerant paths ------------------------------------------------
-    def _park_resumable(
-        self, conn: socket.socket, header: SessionHeader, resume: ResumeOffset
-    ) -> None:
-        """Park a fault-tolerant session addressed to this depot."""
-        ledger = self._ledger_for(header.hex_id, resume.total)
-
-        def store(data: bytes) -> None:
-            with self._held_lock:
-                self.held[header.hex_id] = data
-
-        if _receive_into_ledger(self, conn, header, ledger, store):
-            if not self._retains_ledger(header):
-                self._evict_ledger(header.hex_id)
-
-    def _park_striped(
-        self,
-        conn: socket.socket,
-        header: SessionHeader,
-        resume: ResumeOffset,
-        stripe: StripeOption,
-    ) -> None:
-        """Park one striped sublink of a session addressed to this depot."""
-        ledger = self._ledger_for(header.hex_id, resume.total, stripe=stripe)
-        if ledger.stripe_generation(stripe.index) > 0:
-            with self._stats_lock:
-                self.sessions_resumed += 1
-
-        def store(data: bytes) -> None:
-            with self._held_lock:
-                self.held[header.hex_id] = data
-
-        if _receive_stripe_into_ledger(
-            self, conn, header, ledger, stripe.index, store
-        ):
-            if not self._retains_ledger(header):
-                self._evict_ledger(header.hex_id)
-
-    def _forward_striped(
-        self,
-        conn: socket.socket,
-        header: SessionHeader,
-        resume: ResumeOffset,
-        stripe: StripeOption,
-    ) -> None:
-        """Stage and forward one striped sublink of a session.
-
-        Mirrors :meth:`_forward_resumable` with stripe-local offsets:
-        this connection carries stripe ``stripe.index``'s interleaved
-        slice, acknowledges that stripe's own watermark, and pumps the
-        slice downstream on a dedicated striped connection.  The session
-        counts as forwarded when the *last* stripe completes the ledger.
-        """
-        ledger = self._ledger_for(header.hex_id, resume.total, stripe=stripe)
-        if ledger.stripe_generation(stripe.index) > 0:
-            with self._stats_lock:
-                self.sessions_resumed += 1
-        generation, acked = ledger.claim_stripe(stripe.index)
-        conn.sendall(RESUME_ACK.pack(acked))
-        if acked > 0:
-            self.timeline.record(
-                "resume", node=self.name, stream=STREAM_UP,
-                session=header.hex_id, nbytes=acked,
-                detail=f"stripe={stripe.index}",
-            )
-        goal = ledger.stripe_total(stripe.index)
-        progress = _RxProgress(self, header.hex_id, goal, acked)
-        next_hop, out_header = self._next_hop(header)
-        watch = (
-            self.fault_plan.stream_watch(self.name)
-            if self.fault_plan is not None
-            else None
-        )
-        pump = _DownstreamPump(self, next_hop, out_header, ledger, stripe=stripe)
-        try:
-            interrupted = False
-            while ledger.stripe_acked(stripe.index) < goal:
-                try:
-                    data = conn.recv(_IO_CHUNK)
-                except OSError:
-                    interrupted = True
-                    break
-                if not data:
-                    interrupted = True
-                    break
-                if watch is not None:
-                    rule = watch.advance(len(data))
-                    if rule is not None:
-                        if rule.kind is FaultKind.STALL:
-                            time.sleep(rule.delay)
-                        elif rule.kind is FaultKind.DROP:
-                            _abort_socket(conn)
-                            interrupted = True
-                            break
-                if not ledger.append_stripe(stripe.index, generation, data):
-                    return  # a newer connection took over this stripe
-                progress.note(ledger.stripe_acked(stripe.index), len(data))
-                with self._stats_lock:
-                    self.bytes_forwarded += len(data)
-                pump.flush()
-            done = ledger.stripe_acked(stripe.index) >= goal
-            if done and ledger.stripe_generation(stripe.index) == generation:
-                progress.eof()
-                pump.finish()
-                if ledger.claim_completion():
-                    with self._stats_lock:
-                        self.sessions_forwarded += 1
-                conn.sendall(RESUME_ACK.pack(goal))
-                if ledger.complete and not self._retains_ledger(header):
-                    self._evict_ledger(header.hex_id)
-            elif interrupted:
-                raise TruncatedStream(
-                    f"session {header.hex_id} stripe {stripe.index} "
-                    f"interrupted at {ledger.stripe_acked(stripe.index)}/"
-                    f"{goal} bytes; awaiting resume"
-                )
-        finally:
-            pump.close()
-
-    def _forward_resumable(
-        self, conn: socket.socket, header: SessionHeader, resume: ResumeOffset
-    ) -> None:
-        """Stage and forward one fault-tolerant session connection.
-
-        Staged bytes live in the session's ledger, which survives this
-        connection: if the upstream drops mid-stream the ledger waits for
-        the reconnect, and if the downstream drops the pump replays from
-        whatever offset the next hop acknowledges.
-        """
-        ledger = self._ledger_for(header.hex_id, resume.total)
-        generation, acked = ledger.claim()
-        conn.sendall(RESUME_ACK.pack(acked))
-        if acked > 0:
-            self.timeline.record(
-                "resume", node=self.name, stream=STREAM_UP,
-                session=header.hex_id, nbytes=acked,
-            )
-        progress = _RxProgress(self, header.hex_id, ledger.total, acked)
-        next_hop, out_header = self._next_hop(header)
-        watch = (
-            self.fault_plan.stream_watch(self.name)
-            if self.fault_plan is not None
-            else None
-        )
-        pump = _DownstreamPump(self, next_hop, out_header, ledger)
-        try:
-            interrupted = False
-            while not ledger.complete:
-                try:
-                    data = conn.recv(_IO_CHUNK)
-                except OSError:
-                    interrupted = True
-                    break
-                if not data:
-                    interrupted = True
-                    break
-                if watch is not None:
-                    rule = watch.advance(len(data))
-                    if rule is not None:
-                        if rule.kind is FaultKind.STALL:
-                            time.sleep(rule.delay)
-                        elif rule.kind is FaultKind.DROP:
-                            _abort_socket(conn)
-                            interrupted = True
-                            break
-                if not ledger.append(generation, data):
-                    return  # a newer connection took over this session
-                progress.note(ledger.acked, len(data))
-                with self._stats_lock:
-                    self.bytes_forwarded += len(data)
-                pump.flush()
-            if ledger.complete and ledger.generation == generation:
-                progress.eof()
-                pump.finish()
-                # Count before acking upstream: once the ack is out the
-                # whole chain unwinds, and callers joining on it must
-                # observe the forward as complete.
-                with self._stats_lock:
-                    self.sessions_forwarded += 1
-                conn.sendall(RESUME_ACK.pack(ledger.total))
-                if not self._retains_ledger(header):
-                    self._evict_ledger(header.hex_id)
-            elif interrupted:
-                raise TruncatedStream(
-                    f"session {header.hex_id} interrupted at "
-                    f"{ledger.acked}/{ledger.total} bytes; awaiting resume"
-                )
-        finally:
-            pump.close()
-
 
 class _RxProgress:
-    """Receiver-side instrumentation shared by the resume-protocol paths.
+    """Receiver-side instrumentation of one stripe connection.
 
     Emits the canonical up-stream sequence (``first_byte`` →
     ``progress`` watermarks → ``eof``) plus the received-byte counter
@@ -1115,138 +896,6 @@ class _RxProgress:
             ).set(self._total / elapsed)
 
 
-def _receive_into_ledger(
-    server: _Server,
-    conn: socket.socket,
-    header: SessionHeader,
-    ledger: SessionLedger,
-    on_complete,
-) -> bool:
-    """Shared terminating side of the resume protocol.
-
-    Claims the ledger, replies with the acknowledgement point, appends
-    inbound bytes (consulting the server's fault plan), and on completion
-    hands the full payload to ``on_complete`` and sends the final ack.
-    Returns True when the session completed under this connection.
-    """
-    generation, acked = ledger.claim()
-    conn.sendall(RESUME_ACK.pack(acked))
-    if acked > 0:
-        server.timeline.record(
-            "resume", node=server.name, stream=STREAM_UP,
-            session=header.hex_id, nbytes=acked,
-        )
-    progress = _RxProgress(server, header.hex_id, ledger.total, acked)
-    watch = (
-        server.fault_plan.stream_watch(server.name)
-        if server.fault_plan is not None
-        else None
-    )
-    interrupted = False
-    while not ledger.complete:
-        try:
-            data = conn.recv(_IO_CHUNK)
-        except OSError:
-            interrupted = True
-            break
-        if not data:
-            interrupted = True
-            break
-        if watch is not None:
-            rule = watch.advance(len(data))
-            if rule is not None:
-                if rule.kind is FaultKind.STALL:
-                    time.sleep(rule.delay)
-                elif rule.kind is FaultKind.DROP:
-                    _abort_socket(conn)
-                    interrupted = True
-                    break
-        if not ledger.append(generation, data):
-            return False  # superseded by a newer connection
-        progress.note(ledger.acked, len(data))
-    if ledger.complete and ledger.generation == generation:
-        progress.eof()
-        on_complete(bytes(ledger.data))
-        conn.sendall(RESUME_ACK.pack(ledger.total))
-        return True
-    if interrupted:
-        raise TruncatedStream(
-            f"session {header.hex_id} interrupted at "
-            f"{ledger.acked}/{ledger.total} bytes; awaiting resume"
-        )
-    return False
-
-
-def _receive_stripe_into_ledger(
-    server: _Server,
-    conn: socket.socket,
-    header: SessionHeader,
-    ledger: SessionLedger,
-    stripe_index: int,
-    on_complete,
-) -> bool:
-    """Terminating side of one striped sublink of the resume protocol.
-
-    Claims the stripe, acknowledges its stripe-local watermark, scatters
-    inbound bytes into the shared ledger, and — when this connection's
-    stripe finishing completes the whole ledger — hands the reassembled
-    payload to ``on_complete``.  Returns True when the *ledger* (not
-    just this stripe) completed under this connection.
-    """
-    generation, acked = ledger.claim_stripe(stripe_index)
-    conn.sendall(RESUME_ACK.pack(acked))
-    if acked > 0:
-        server.timeline.record(
-            "resume", node=server.name, stream=STREAM_UP,
-            session=header.hex_id, nbytes=acked,
-            detail=f"stripe={stripe_index}",
-        )
-    goal = ledger.stripe_total(stripe_index)
-    progress = _RxProgress(server, header.hex_id, goal, acked)
-    watch = (
-        server.fault_plan.stream_watch(server.name)
-        if server.fault_plan is not None
-        else None
-    )
-    interrupted = False
-    while ledger.stripe_acked(stripe_index) < goal:
-        try:
-            data = conn.recv(_IO_CHUNK)
-        except OSError:
-            interrupted = True
-            break
-        if not data:
-            interrupted = True
-            break
-        if watch is not None:
-            rule = watch.advance(len(data))
-            if rule is not None:
-                if rule.kind is FaultKind.STALL:
-                    time.sleep(rule.delay)
-                elif rule.kind is FaultKind.DROP:
-                    _abort_socket(conn)
-                    interrupted = True
-                    break
-        if not ledger.append_stripe(stripe_index, generation, data):
-            return False  # superseded by a newer connection
-        progress.note(ledger.stripe_acked(stripe_index), len(data))
-    done = ledger.stripe_acked(stripe_index) >= goal
-    if done and ledger.stripe_generation(stripe_index) == generation:
-        progress.eof()
-        completed = ledger.claim_completion()
-        if completed:
-            on_complete(bytes(ledger.data))
-        conn.sendall(RESUME_ACK.pack(goal))
-        return completed
-    if interrupted:
-        raise TruncatedStream(
-            f"session {header.hex_id} stripe {stripe_index} interrupted "
-            f"at {ledger.stripe_acked(stripe_index)}/{goal} bytes; "
-            f"awaiting resume"
-        )
-    return False
-
-
 class SinkServer(_Server):
     """Terminates LSL sessions; stores payloads keyed by session id."""
 
@@ -1263,8 +912,6 @@ class SinkServer(_Server):
         self.headers: dict[str, SessionHeader] = {}
         self._lock = threading.Lock()
         self.errors: list = []
-        self._ledgers: dict[str, SessionLedger] = {}
-        self._ledger_lock = threading.Lock()
         super().__init__(
             host,
             port,
@@ -1275,7 +922,7 @@ class SinkServer(_Server):
         )
 
     def handle(self, conn: socket.socket) -> None:
-        """Terminate one session and store its payload."""
+        """Terminate one stripe connection; store the completed payload."""
         header = read_header(conn)
         self.timeline.record(
             "header_rx", node=self.name, stream=STREAM_UP,
@@ -1284,89 +931,24 @@ class SinkServer(_Server):
         self.obs.counter(
             "lsl_sessions_total", labels={"node": self.name}
         ).inc()
-        resume = header.option(ResumeOffset)
-        if header.option(StripeOption) is not None and resume is None:
-            raise ValueError(
-                f"striped session {header.hex_id} lacks a resume option"
-            )
-        if resume is not None:
-            self._receive_resumable(conn, header, resume)
-            return
-        watch = (
-            self.fault_plan.stream_watch(self.name)
-            if self.fault_plan is not None
-            else None
-        )
-        rx = self.obs.counter(
-            "lsl_rx_bytes_total", labels={"node": self.name}
-        )
-        chunks = bytearray()
-        while True:
-            data = conn.recv(_IO_CHUNK)
-            if not data:
-                break
-            if watch is not None:
-                rule = watch.advance(len(data))
-                if rule is not None:
-                    if rule.kind is FaultKind.STALL:
-                        time.sleep(rule.delay)
-                    elif rule.kind is FaultKind.DROP:
-                        _abort_socket(conn)
-                        raise TruncatedStream(f"injected drop at {self.name}")
-            if not chunks:
-                self.timeline.record(
-                    "first_byte", node=self.name, stream=STREAM_UP,
-                    session=header.hex_id, nbytes=len(data),
-                )
-            chunks += data
-            rx.inc(len(data))
-        self.timeline.record(
-            "eof", node=self.name, stream=STREAM_UP,
-            session=header.hex_id, nbytes=len(chunks),
-        )
-        with self._lock:
-            self.payloads[header.hex_id] = bytes(chunks)
-            self.headers[header.hex_id] = header
+        ledger, stripe = self._ledger_for(header)
 
-    def _receive_resumable(
-        self, conn: socket.socket, header: SessionHeader, resume: ResumeOffset
-    ) -> None:
-        stripe = header.option(StripeOption)
-        stripes = 1 if stripe is None else stripe.count
-        block = 16 << 10 if stripe is None else stripe.block
-        with self._ledger_lock:
-            ledger = self._ledgers.get(header.hex_id)
-            if ledger is None:
-                ledger = SessionLedger(resume.total, stripes=stripes,
-                                       block=block)
-                self._ledgers[header.hex_id] = ledger
-            elif not ledger.matches(stripes, block):
-                raise ValueError(
-                    f"session {header.hex_id} stripe layout mismatch: "
-                    f"ledger x{ledger.stripes}/block {ledger.block}, "
-                    f"connection x{stripes}/block {block}"
-                )
-
-        def store(data: bytes) -> None:
+        def complete() -> None:
+            payload = ledger.read()
             with self._lock:
-                self.payloads[header.hex_id] = data
+                self.payloads[header.hex_id] = payload
                 self.headers[header.hex_id] = header
 
-        if stripe is None:
-            done = _receive_into_ledger(self, conn, header, ledger, store)
-        else:
-            done = _receive_stripe_into_ledger(
-                self, conn, header, ledger, stripe.index, store
-            )
-        if done:
-            with self._ledger_lock:
-                self._ledgers.pop(header.hex_id, None)
+        if self._receive(conn, header, ledger, stripe, complete):
+            self._evict_ledger(header.hex_id)
 
     def staged_bytes(self, session_id_hex: str) -> int:
         """Bytes durably received for an (incomplete) session."""
         with self._ledger_lock:
             ledger = self._ledgers.get(session_id_hex)
-        return ledger.acked if ledger is not None else 0
+        if ledger is None:
+            return 0
+        return sum(ledger.stripe_acked(k) for k in range(ledger.stripes))
 
     def wait_for(self, session_id_hex: str, timeout: float = 10.0) -> bytes:
         """Block until the payload for a session arrives (tests helper)."""
@@ -1384,10 +966,11 @@ def _stripe_slice(
 ) -> bytes:
     """Stripe ``index``'s interleaved slice of ``payload``.
 
-    The gather mirror of :meth:`SessionLedger.append_stripe`'s scatter:
-    every ``block``-sized block ``j`` with ``j % count == index``, in
-    order.
+    The source-side mirror of the ledger's stripe layout: every
+    ``block``-sized block ``j`` with ``j % count == index``, in order.
     """
+    if count == 1:
+        return payload
     out = bytearray()
     for start in range(index * block, len(payload), count * block):
         out += payload[start : start + block]
@@ -1396,7 +979,7 @@ def _stripe_slice(
 
 @dataclass
 class SendReport:
-    """Outcome of a fault-tolerant :func:`send_session`.
+    """Outcome of a :func:`send_session`.
 
     Attributes
     ----------
@@ -1406,6 +989,9 @@ class SendReport:
         Payload bytes this source sent more than once.
     payload_bytes:
         Total payload size.
+    high_water:
+        Payload bytes this source sent at least once (0 when every
+        stripe's first hop had already staged the whole session).
     """
 
     attempts: int = 0
@@ -1414,209 +1000,14 @@ class SendReport:
     high_water: int = 0
 
 
-def send_session(
-    payload: bytes,
-    header: SessionHeader,
-    first_hop: tuple[str, int],
-    chunk_size: int = _IO_CHUNK,
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    source_name: str = "source",
-    registry: Registry | None = None,
-    timeline: SessionTimeline | None = None,
-    stripes: int = 1,
-    stripe_block: int = 16 << 10,
-) -> SendReport | None:
-    """Open a session toward ``first_hop`` and stream the payload.
-
-    ``first_hop`` is the first depot of the loose source route, or the
-    sink itself for a direct session.
-
-    With ``retry`` given (or a :class:`~repro.lsl.options.ResumeOffset`
-    option already on the header) the send is *fault-tolerant*: the
-    header gains a resume option carrying the payload length, each
-    connection starts with the receiver's acknowledgement point and ends
-    with a final acknowledgement, and failures are retried with backoff,
-    resuming from the acknowledged byte.  Returns a :class:`SendReport`
-    in that mode, ``None`` for a legacy fire-and-forget send.
-
-    With ``stripes > 1`` the session runs as that many parallel striped
-    sublinks (always fault-tolerant): the per-stripe resume handshakes
-    happen serially — one blocking header+ack round trip each — and the
-    interleaved slices then stream concurrently, each stripe retrying
-    and resuming at its own watermark.
-
-    Raises
-    ------
-    RetryExhausted
-        The fault-tolerant path failed more times than the policy allows.
-    """
-    check_positive_int("chunk_size", chunk_size)
-    check_positive_int("stripes", stripes)
-    check_positive_int("stripe_block", stripe_block)
-    obs = registry if registry is not None else NULL_REGISTRY
-    tl = timeline if timeline is not None else DISABLED_TIMELINE
-    tx = obs.counter("lsl_tx_bytes_total", labels={"node": source_name})
-    resume = header.option(ResumeOffset)
-    if stripes > 1:
-        if header.option(StripeOption) is not None:
-            raise ValueError(
-                "send_session attaches stripe options itself; the header "
-                "must not already carry one"
-            )
-        if resume is None:
-            header = header.with_options(
-                header.options + (ResumeOffset(total=len(payload)),)
-            )
-        elif resume.total != len(payload):
-            raise ValueError(
-                f"resume option total {resume.total} != payload "
-                f"{len(payload)} bytes"
-            )
-        return _striped_send(
-            payload, header, first_hop, chunk_size,
-            retry or RetryPolicy(), fault_plan, source_name, obs, tl,
-            stripes, stripe_block,
-        )
-    if retry is None and resume is None:
-        # legacy fire-and-forget: no resume protocol, but the initial
-        # connect still gets the default policy's timeout and budget
-        with _connect_with_retry(first_hop, RetryPolicy()) as sock:
-            tl.record(
-                "connect", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            tl.record(
-                "header_tx", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id,
-            )
-            encoded = header.encode()
-            if fault_plan is not None:
-                encoded = fault_plan.corrupt_header(source_name, encoded)
-            sock.sendall(encoded)
-            for off in range(0, len(payload), chunk_size):
-                chunk = payload[off : off + chunk_size]
-                sock.sendall(chunk)
-                tx.inc(len(chunk))
-        tl.record(
-            "complete", node=source_name, stream=STREAM_DOWN,
-            session=header.hex_id, nbytes=len(payload),
-        )
-        return None
-
-    policy = retry or RetryPolicy()
-    if resume is None:
-        header = header.with_options(
-            header.options + (ResumeOffset(total=len(payload)),)
-        )
-    elif resume.total != len(payload):
-        raise ValueError(
-            f"resume option total {resume.total} != payload "
-            f"{len(payload)} bytes"
-        )
-    report = SendReport(payload_bytes=len(payload))
-    attempts = 0
-    t0 = time.monotonic()
-    while True:
-        try:
-            _attempt_resumable_send(
-                payload, header, first_hop, chunk_size, policy,
-                fault_plan, source_name, report, obs, tl,
-            )
-            report.attempts = attempts + 1
-            tl.record(
-                "complete", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id, nbytes=len(payload),
-            )
-            elapsed = time.monotonic() - t0
-            obs.histogram(
-                "lsl_session_seconds", labels={"node": source_name}
-            ).observe(elapsed)
-            if elapsed > 0:
-                obs.gauge(
-                    "lsl_session_throughput_bytes_per_sec",
-                    labels={"node": source_name},
-                ).set(len(payload) / elapsed)
-            return report
-        except (ConnectionError, OSError) as exc:
-            attempts += 1
-            if attempts > policy.max_retries:
-                tl.record(
-                    "error", node=source_name, stream=STREAM_DOWN,
-                    session=header.hex_id, detail=str(exc),
-                )
-                raise RetryExhausted(
-                    f"session {header.hex_id} failed after "
-                    f"{policy.max_retries} retries: {exc}"
-                ) from exc
-            time.sleep(policy.delay(attempts - 1))
-
-
-def _attempt_resumable_send(
-    payload: bytes,
-    header: SessionHeader,
-    first_hop: tuple[str, int],
-    chunk_size: int,
-    policy: RetryPolicy,
-    fault_plan: FaultPlan | None,
-    source_name: str,
-    report: SendReport,
-    obs: Registry = NULL_REGISTRY,
-    tl: SessionTimeline = DISABLED_TIMELINE,
-) -> None:
-    """One connection's worth of the resume protocol, source side."""
-    tx = obs.counter("lsl_tx_bytes_total", labels={"node": source_name})
-    with socket.create_connection(
-        first_hop, timeout=policy.connect_timeout
-    ) as sock:
-        sock.settimeout(policy.io_timeout)
-        _cap_buffers(sock)
-        tl.record(
-            "connect", node=source_name, stream=STREAM_DOWN,
-            session=header.hex_id,
-        )
-        tl.record(
-            "header_tx", node=source_name, stream=STREAM_DOWN,
-            session=header.hex_id,
-        )
-        encoded = header.encode()
-        if fault_plan is not None:
-            encoded = fault_plan.corrupt_header(source_name, encoded)
-        sock.sendall(encoded)
-        start = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
-        if start > len(payload):
-            raise ValueError(
-                f"peer acknowledged {start} bytes of a "
-                f"{len(payload)}-byte payload"
-            )
-        if start > 0:
-            tl.record(
-                "resume", node=source_name, stream=STREAM_DOWN,
-                session=header.hex_id, nbytes=start,
-            )
-        previous_high = report.high_water
-        for off in range(start, len(payload), chunk_size):
-            chunk = payload[off : off + chunk_size]
-            sock.sendall(chunk)
-            tx.inc(len(chunk))
-            end = off + len(chunk)
-            report.retransmitted += max(0, min(end, previous_high) - off)
-            report.high_water = max(report.high_water, end)
-        sock.shutdown(socket.SHUT_WR)
-        final = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
-        if final != len(payload):
-            raise TruncatedStream(
-                f"sink acknowledged {final} of {len(payload)} bytes"
-            )
-
-
 class _StripeWorker:
-    """Source side of one striped sublink.
+    """Source side of one stripe of a session.
 
-    :meth:`handshake` (run serially by :func:`_striped_send`) opens the
-    connection and performs the header+ack round trip; :meth:`run` (one
-    thread per stripe) streams the slice from the acknowledged offset,
-    transparently re-handshaking on failure under the retry policy.
+    :meth:`handshake` (run serially by :func:`send_session`) opens the
+    connection and performs the header+ack round trip; :meth:`run`
+    streams the slice from the acknowledged offset, transparently
+    re-handshaking on failure under the retry policy.  Both keep a
+    final failure in ``error`` instead of raising it.
     """
 
     def __init__(
@@ -1631,8 +1022,9 @@ class _StripeWorker:
         obs: Registry,
         tl: SessionTimeline,
         index: int,
+        stripes: int,
     ) -> None:
-        self._slice = payload_slice
+        self._slice = memoryview(payload_slice)
         self._header = header
         self._first_hop = first_hop
         self._chunk = chunk_size
@@ -1644,13 +1036,14 @@ class _StripeWorker:
             "lsl_tx_bytes_total", labels={"node": source_name}
         )
         self.index = index
-        self.connects = 0
+        #: names the stripe in messages and events ("" for one stripe)
+        self._detail = f"stripe={index}" if stripes > 1 else ""
+        self.failures = 0
         self.retransmitted = 0
         self.high_water = 0
         self.error: Exception | None = None
         self._sock: socket.socket | None = None
         self._start = 0
-        self._failures = 0
 
     def _drop(self) -> None:
         if self._sock is not None:
@@ -1662,173 +1055,207 @@ class _StripeWorker:
 
     def _failure(self, exc: Exception) -> None:
         self._drop()
-        self._failures += 1
-        if self._failures > self._policy.max_retries:
+        self.failures += 1
+        if self.failures > self._policy.max_retries:
+            where = f" {self._detail}" if self._detail else ""
             raise RetryExhausted(
-                f"session {self._header.hex_id} stripe {self.index} failed "
-                f"after {self._policy.max_retries} retries: {exc}"
+                f"session {self._header.hex_id}{where} failed after "
+                f"{self._policy.max_retries} retries: {exc}"
             ) from exc
-        time.sleep(self._policy.delay(self._failures - 1))
+        time.sleep(self._policy.delay(self.failures - 1))
 
     def _connect(self) -> None:
+        header, tl, source_name = self._header, self._tl, self._source_name
         sock = socket.create_connection(
             self._first_hop, timeout=self._policy.connect_timeout
         )
         try:
             sock.settimeout(self._policy.io_timeout)
             _cap_buffers(sock)
-            self._tl.record(
-                "connect", node=self._source_name, stream=STREAM_DOWN,
-                session=self._header.hex_id,
+            tl.record(
+                "connect", node=source_name, stream=STREAM_DOWN,
+                session=header.hex_id,
             )
-            self._tl.record(
-                "header_tx", node=self._source_name, stream=STREAM_DOWN,
-                session=self._header.hex_id,
+            tl.record(
+                "header_tx", node=source_name, stream=STREAM_DOWN,
+                session=header.hex_id,
             )
-            encoded = self._header.encode()
+            encoded = header.encode()
             if self._fault_plan is not None:
-                encoded = self._fault_plan.corrupt_header(
-                    self._source_name, encoded
-                )
+                encoded = self._fault_plan.corrupt_header(source_name, encoded)
             sock.sendall(encoded)
             ack = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
+            if ack > len(self._slice):
+                raise ValueError(
+                    f"peer acknowledged {ack} bytes of a "
+                    f"{len(self._slice)}-byte slice"
+                )
         except BaseException:
             try:
                 sock.close()
             except OSError:
                 pass
             raise
-        if ack > len(self._slice):
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise ValueError(
-                f"stripe {self.index} peer acknowledged {ack} bytes of a "
-                f"{len(self._slice)}-byte slice"
-            )
         if ack > 0:
-            self._tl.record(
-                "resume", node=self._source_name, stream=STREAM_DOWN,
-                session=self._header.hex_id, nbytes=ack,
-                detail=f"stripe={self.index}",
+            tl.record(
+                "resume", node=source_name, stream=STREAM_DOWN,
+                session=header.hex_id, nbytes=ack, detail=self._detail,
             )
         self._sock = sock
         self._start = ack
-        self.connects += 1
 
-    def handshake(self) -> None:
-        """Connect and complete the header+ack round trip (with retry)."""
-        while self._sock is None:
-            try:
-                self._connect()
-            except (ConnectionError, OSError) as exc:
-                self._failure(exc)
+    def _stream(self) -> None:
+        """Send the slice from the acknowledged offset; await the final ack."""
+        sock = self._sock
+        size = len(self._slice)
+        for off in range(self._start, size, self._chunk):
+            end = min(off + self._chunk, size)
+            sock.sendall(self._slice[off:end])
+            self._tx.inc(end - off)
+            self.retransmitted += max(0, min(end, self.high_water) - off)
+            self.high_water = max(self.high_water, end)
+        sock.shutdown(socket.SHUT_WR)
+        final = RESUME_ACK.unpack(_read_exact(sock, RESUME_ACK.size))[0]
+        if final != size:
+            raise TruncatedStream(
+                f"peer acknowledged {final} of {size} bytes"
+                + (f" ({self._detail})" if self._detail else "")
+            )
 
-    def run(self) -> None:
-        """Stream the slice to completion; stores failures in ``error``."""
+    def _retry(self, streaming: bool) -> bool:
+        """Reconnect under the policy until the stripe has handshaken or,
+        with ``streaming``, delivered its slice.
+
+        A final failure is kept in ``error`` and recorded as an
+        ``error`` event; returns False in that case.
+        """
         try:
             while True:
                 try:
                     if self._sock is None:
                         self._connect()
-                    sock = self._sock
-                    for off in range(self._start, len(self._slice),
-                                     self._chunk):
-                        chunk = self._slice[off : off + self._chunk]
-                        sock.sendall(chunk)
-                        self._tx.inc(len(chunk))
-                        end = off + len(chunk)
-                        self.retransmitted += max(
-                            0, min(end, self.high_water) - off
-                        )
-                        self.high_water = max(self.high_water, end)
-                    sock.shutdown(socket.SHUT_WR)
-                    final = RESUME_ACK.unpack(
-                        _read_exact(sock, RESUME_ACK.size)
-                    )[0]
-                    if final != len(self._slice):
-                        raise TruncatedStream(
-                            f"stripe {self.index} acknowledged {final} of "
-                            f"{len(self._slice)} bytes"
-                        )
-                    return
+                    if streaming:
+                        self._stream()
+                    return True
                 except (ConnectionError, OSError) as exc:
                     self._failure(exc)
         except Exception as exc:
-            # held for _striped_send to re-raise after every thread joins
             self.error = exc
+            self._drop()
             self._tl.record(
                 "error", node=self._source_name, stream=STREAM_DOWN,
                 session=self._header.hex_id,
-                detail=f"stripe={self.index}: {exc}",
+                detail=f"{self._detail}: {exc}" if self._detail else str(exc),
             )
-        finally:
-            self._drop()
+            return False
+
+    def handshake(self) -> bool:
+        """Connect and complete the header+ack round trip (with retry)."""
+        return self._retry(streaming=False)
+
+    def run(self) -> None:
+        """Stream the slice to completion (see ``error`` on failure)."""
+        self._retry(streaming=True)
+        self._drop()
 
 
-def _striped_send(
+def send_session(
     payload: bytes,
     header: SessionHeader,
     first_hop: tuple[str, int],
-    chunk_size: int,
-    policy: RetryPolicy,
-    fault_plan: FaultPlan | None,
-    source_name: str,
-    obs: Registry,
-    tl: SessionTimeline,
-    stripes: int,
-    block: int,
+    chunk_size: int = _IO_CHUNK,
+    retry: RetryPolicy | None = None,
+    fault_plan: FaultPlan | None = None,
+    source_name: str = "source",
+    registry: Registry | None = None,
+    timeline: SessionTimeline | None = None,
+    stripes: int = 1,
+    stripe_block: int = 16 << 10,
 ) -> SendReport:
-    """Drive one session over N striped sublinks (source side)."""
+    """Open a session toward ``first_hop`` and stream the payload.
+
+    ``first_hop`` is the first depot of the loose source route, or the
+    sink itself for a direct session.
+
+    The header gains a resume option carrying the payload length (or
+    must already carry a matching one).  Each connection starts with the
+    receiver's acknowledgement point and ends with a final
+    acknowledgement; failures are retried under ``retry`` (the default
+    :class:`~repro.lsl.faults.RetryPolicy` when omitted), resuming from
+    the acknowledged byte.
+
+    The session runs as ``stripes`` parallel striped sublinks.  Their
+    handshakes happen serially — one blocking header+ack round trip
+    each — then the interleaved slices stream concurrently, each stripe
+    retrying and resuming at its own watermark.  The last stripe streams
+    on the calling thread, so a one-stripe session starts no thread.
+
+    Raises
+    ------
+    RetryExhausted
+        A stripe failed more times than the policy allows.
+    """
+    check_positive_int("chunk_size", chunk_size)
+    check_positive_int("stripes", stripes)
+    check_positive_int("stripe_block", stripe_block)
+    if header.option(StripeOption) is not None:
+        raise ValueError(
+            "send_session attaches stripe options itself; the header "
+            "must not already carry one"
+        )
+    resume = header.option(ResumeOffset)
+    if resume is None:
+        header = header.with_options(
+            header.options + (ResumeOffset(total=len(payload)),)
+        )
+    elif resume.total != len(payload):
+        raise ValueError(
+            f"resume option total {resume.total} != payload "
+            f"{len(payload)} bytes"
+        )
+    policy = retry or RetryPolicy()
+    obs = registry if registry is not None else NULL_REGISTRY
+    tl = timeline if timeline is not None else DISABLED_TIMELINE
     workers = [
         _StripeWorker(
-            _stripe_slice(payload, k, stripes, block),
-            header.with_options(
+            _stripe_slice(payload, k, stripes, stripe_block),
+            header if stripes == 1 else header.with_options(
                 header.options
-                + (StripeOption(index=k, count=stripes, block=block),)
+                + (StripeOption(index=k, count=stripes, block=stripe_block),)
             ),
             first_hop, chunk_size, policy, fault_plan, source_name,
-            obs, tl, k,
+            obs, tl, k, stripes,
         )
         for k in range(stripes)
     ]
     t0 = time.monotonic()
     try:
-        # Serialized handshakes: one blocking header+ack round trip per
-        # stripe, the setup cost the striped transfer-time model prices.
-        for worker in workers:
-            worker.handshake()
-    except BaseException:
+        # all() stops at the first stripe that gives up its handshake
+        if all(worker.handshake() for worker in workers):
+            threads = [
+                threading.Thread(
+                    target=worker.run,
+                    name=f"lsl:{source_name}:stripe{worker.index}",
+                    daemon=True,
+                )
+                for worker in workers[:-1]
+            ]
+            for thread in threads:
+                thread.start()
+            workers[-1].run()
+            for thread in threads:
+                thread.join()
+    finally:
         for worker in workers:
             worker._drop()
-        raise
-    threads = [
-        threading.Thread(
-            target=worker.run,
-            name=f"lsl:{source_name}:stripe{worker.index}",
-            daemon=True,
-        )
-        for worker in workers
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
     errors = [w.error for w in workers if w.error is not None]
     if errors:
         # each failed stripe already recorded its own "error" event
         raise errors[0]
-    report = SendReport(
-        attempts=sum(w.connects for w in workers),
-        retransmitted=sum(w.retransmitted for w in workers),
-        payload_bytes=len(payload),
-        high_water=sum(w.high_water for w in workers),
-    )
     tl.record(
         "complete", node=source_name, stream=STREAM_DOWN,
         session=header.hex_id, nbytes=len(payload),
-        detail=f"stripes={stripes}",
+        detail=f"stripes={stripes}" if stripes > 1 else "",
     )
     elapsed = time.monotonic() - t0
     obs.histogram(
@@ -1839,7 +1266,12 @@ def _striped_send(
             "lsl_session_throughput_bytes_per_sec",
             labels={"node": source_name},
         ).set(len(payload) / elapsed)
-    return report
+    return SendReport(
+        attempts=sum(w.failures + 1 for w in workers),
+        retransmitted=sum(w.retransmitted for w in workers),
+        payload_bytes=len(payload),
+        high_water=sum(w.high_water for w in workers),
+    )
 
 
 def fetch_pickup(

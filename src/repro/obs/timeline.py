@@ -13,7 +13,8 @@ Event vocabulary
 ``header_tx`` / ``header_rx``
     The LSL session header left a sender / was parsed by a receiver.
 ``resume``
-    A fault-tolerant session resumed from a nonzero acknowledged byte.
+    A session (or one stripe of it) resumed from a nonzero
+    acknowledged byte.
 ``first_byte``
     A receiver saw the first payload byte of the session.
 ``progress``
@@ -22,8 +23,7 @@ Event vocabulary
 ``eof``
     A receiver saw the last payload byte.
 ``complete``
-    A sender finished (and, on the fault-tolerant path, had the full
-    payload acknowledged).
+    A sender finished and had the full payload acknowledged.
 ``failover``
     The source abandoned the current route mid-transfer and re-issued
     the session over a reroute (``detail`` names the avoided hosts).

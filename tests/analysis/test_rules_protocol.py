@@ -7,8 +7,8 @@ from repro.analysis import run_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: the legacy fire-and-forget connect/header_tx narration in
-#: ``relay_transfer`` — swapped by the seeded-mutation test
+#: the source-side connect/header_tx narration in
+#: ``_StripeWorker._connect`` — swapped by the seeded-mutation test
 ORDERED_RECORDS = '''\
             tl.record(
                 "connect", node=source_name, stream=STREAM_DOWN,
@@ -55,7 +55,7 @@ def test_conformant_narration_is_clean(run_fixture):
 
 
 def test_seeded_order_swap_in_real_transport(tmp_path):
-    """Swapping connect/header_tx in the live ``relay_transfer`` is
+    """Swapping connect/header_tx in the live source-side handshake is
     caught at the (now out-of-order) connect record."""
     src = (
         Path(__file__).parents[2] / "src/repro/lsl/socket_transport.py"

@@ -1,7 +1,7 @@
 """End-to-end CLI smoke: --metrics exports plus the stats renderer.
 
 This is the loopback scenario the CI workflow runs: a real 2-depot
-relay driven through ``repro send --resume --metrics``, the export
+relay driven through ``repro send --metrics``, the export
 validated against the schema, then re-rendered by ``repro stats`` in
 all three formats.
 """
@@ -33,11 +33,10 @@ def sent_export(tmp_path, relay_chain, capsys):
         "send", str(payload_file),
         "--to", f"127.0.0.1:{sink.port}",
         "--via", f"127.0.0.1:{d0.port},127.0.0.1:{d1.port}",
-        "--resume",
         "--metrics", str(export_file),
     ])
     assert rc == 0
-    # --resume means main() returns only after the final acknowledgement
+    # main() returns only after the final acknowledgement
     assert list(sink.payloads.values()) == [payload]
     out = capsys.readouterr().out
     assert "resume protocol: 1 attempt(s)" in out

@@ -146,33 +146,56 @@ class TestFaultPlan:
 class TestSessionLedger:
     def test_claim_returns_ack_point(self):
         ledger = SessionLedger(total=10)
-        gen, acked = ledger.claim()
-        assert (gen, acked) == (1, 0)
-        assert ledger.append(gen, b"abc")
-        gen2, acked2 = ledger.claim()
-        assert (gen2, acked2) == (2, 3)
+        assert ledger.claim_stripe(0, seq=1) == 0
+        assert ledger.append_stripe(0, 1, b"abc")
+        assert ledger.claim_stripe(0, seq=2) == 3
 
     def test_superseded_generation_cannot_append(self):
         ledger = SessionLedger(total=10)
-        old, _ = ledger.claim()
-        new, _ = ledger.claim()
-        assert not ledger.append(old, b"stale")
-        assert ledger.append(new, b"fresh")
-        assert ledger.read(0, 5) == b"fresh"
+        ledger.claim_stripe(0, seq=1)
+        ledger.claim_stripe(0, seq=2)
+        assert not ledger.append_stripe(0, 1, b"stale")
+        assert ledger.append_stripe(0, 2, b"fresh")
+        assert bytes(ledger.read_stripe(0, 0, 5)) == b"fresh"
 
     def test_complete_at_total(self):
         ledger = SessionLedger(total=4)
-        gen, _ = ledger.claim()
+        ledger.claim_stripe(0, seq=1)
         assert not ledger.complete
-        ledger.append(gen, b"abcd")
+        ledger.append_stripe(0, 1, b"abcd")
         assert ledger.complete
 
     def test_note_sent_counts_retransmission(self):
         ledger = SessionLedger(total=100)
-        assert ledger.note_sent(0, 60) == 0
+        assert ledger.note_stripe_sent(0, 0, 60) == 0
         # resend of [40, 80): 20 bytes overlap the old high water
-        assert ledger.note_sent(40, 80) == 20
-        assert ledger.high_water == 80
+        assert ledger.note_stripe_sent(0, 40, 80) == 20
+        # ... and the high water is now 80
+        assert ledger.note_stripe_sent(0, 80, 90) == 0
+
+    def test_late_claim_from_an_earlier_connection_is_fenced(self):
+        """Claims order by accept sequence, not by arrival: a connection
+        accepted first but claiming last cannot take over the stripe."""
+        ledger = SessionLedger(total=10)
+        assert ledger.claim_stripe(0, seq=5) == 0
+        assert ledger.append_stripe(0, 5, b"live")
+        assert ledger.claim_stripe(0, seq=3) is None
+        assert not ledger.append_stripe(0, 3, b"stale")
+        assert ledger.append_stripe(0, 5, b"-more")
+        assert ledger.read_stripe(0, 0, 10) == b"live-more"
+        # a connection accepted later still supersedes the claimant
+        assert ledger.claim_stripe(0, seq=6) == 9
+
+    def test_chunk_past_the_stripe_total_is_refused(self):
+        ledger = SessionLedger(total=10)
+        ledger.claim_stripe(0, seq=1)
+        with pytest.raises(ValueError, match="10-byte share"):
+            ledger.append_stripe(0, 1, b"x" * 11)
+        assert ledger.stripe_acked(0) == 0
+
+    def test_unallocatable_total_is_a_value_error(self):
+        with pytest.raises(ValueError, match="cannot stage"):
+            SessionLedger(total=2**62)
 
     def test_negative_total_rejected(self):
         with pytest.raises(ValueError):

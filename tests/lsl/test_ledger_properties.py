@@ -3,8 +3,9 @@
 The ledger arbitrates between a stalled old connection handler and the
 reconnect that superseded it.  Whatever the interleaving of claims and
 appends, only the newest claimant may extend the staged bytes, every
-byte is counted as fresh exactly once, and ``read()`` returns exactly
-what was accepted.
+byte is counted as fresh exactly once, and ``read_stripe()`` returns
+exactly what was accepted.  Claimants are numbered by accept sequence, so each
+claim below uses the next sequence number.
 """
 
 from hypothesis import given, settings
@@ -29,29 +30,28 @@ _OPS = st.lists(
 @given(_OPS)
 @settings(max_examples=200)
 def test_interleaved_generations_roundtrip(ops):
-    """Stale appenders are refused; read() round-trips accepted bytes."""
+    """Stale appenders are refused; reads round-trip accepted bytes."""
     ledger = SessionLedger(total=1 << 20)
-    generation, acked = ledger.claim()
-    assert (generation, acked) == (1, 0)
+    generation = 1
+    assert ledger.claim_stripe(0, generation) == 0
     stale = generation
     expected = bytearray()
     for op in ops:
         if op[0] == "claim":
             stale = generation
-            generation, acked = ledger.claim()
-            assert generation > stale
-            assert acked == len(expected)
+            generation += 1
+            assert ledger.claim_stripe(0, generation) == len(expected)
         else:
             _, use_stale, payload = op
             gen = stale if use_stale else generation
-            accepted = ledger.append(gen, payload)
+            accepted = ledger.append_stripe(0, gen, payload)
             if gen == generation:
                 assert accepted
                 expected += payload
             else:
                 assert not accepted
-            assert ledger.acked == len(expected)
-    assert ledger.read(0, ledger.acked) == bytes(expected)
+            assert ledger.stripe_acked(0) == len(expected)
+    assert ledger.read_stripe(0, 0, ledger.total) == bytes(expected)
     assert ledger.complete == (len(expected) >= ledger.total)
 
 
@@ -77,9 +77,8 @@ def test_no_byte_counted_fresh_twice(sends):
     for back, length in sends:
         start = max(0, high - back)
         end = start + length
-        retransmitted = ledger.note_sent(start, end)
+        retransmitted = ledger.note_stripe_sent(0, start, end)
         assert 0 <= retransmitted <= end - start
         fresh += (end - start) - retransmitted
         high = max(high, end)
-        assert ledger.high_water == high
     assert fresh == high

@@ -46,7 +46,9 @@ def make_header(sink, hops=()):
 class TestConstructionGuards:
     @pytest.mark.parametrize("bad", [0, -1, 0.5, "big", None, True])
     def test_depot_rejects_non_positive_buffer_size(self, bad):
-        with pytest.raises(ValidationError, match="buffer_size"):
+        # buffer_size bounded only the removed fire-and-forget pump: the
+        # option is gone, so every value is refused, never ignored
+        with pytest.raises(TypeError, match="buffer_size"):
             DepotServer(buffer_size=bad)
 
     @pytest.mark.parametrize("bad", [0, -4, 0.5, True])
@@ -133,20 +135,22 @@ class TestCleanEofVersusTruncation:
 
 
 class TestTransportTimeline:
-    def test_direct_legacy_send_sequences(self):
+    def test_direct_default_send_sequences(self):
         registry, timeline = Registry(), SessionTimeline()
         with SinkServer(name="sink", registry=registry,
                         timeline=timeline) as sink:
             header = make_header(sink)
-            send_session(
+            report = send_session(
                 b"plain payload", header, sink.address,
                 registry=registry, timeline=timeline,
             )
             sink.wait_for(header.hex_id)
-        # no total on the wire in legacy mode, so no progress watermarks
+        # a send without a retry policy still runs the resume protocol:
+        # the total is on the wire, so the watermarks are too
+        assert report.attempts == 1
         assert timeline.sequences(header.hex_id) == {
             ("source", STREAM_DOWN): SENDER_SEQUENCE,
-            ("sink", STREAM_UP): ("header_rx", "first_byte", "eof"),
+            ("sink", STREAM_UP): RECEIVER_SEQUENCE,
         }
 
     def test_resumable_send_emits_watermarks(self):
@@ -160,7 +164,7 @@ class TestTransportTimeline:
                 registry=registry, timeline=timeline,
             )
             assert sink.wait_for(header.hex_id) == payload
-        assert report is not None and report.attempts == 1
+        assert report.attempts == 1
         assert timeline.sequences(header.hex_id) == {
             ("source", STREAM_DOWN): SENDER_SEQUENCE,
             ("sink", STREAM_UP): RECEIVER_SEQUENCE,

@@ -247,15 +247,26 @@ class TestStripeOption:
             decode_options(bytes(wire[: 3 + 4]))
 
     @given(
+        data=st.data(),
         index=st.integers(min_value=0, max_value=0xFFFE),
-        extra=st.integers(min_value=1, max_value=0xFF),
         block=st.integers(min_value=1, max_value=0xFFFF_FFFF),
     )
-    def test_roundtrip_property(self, index, extra, block):
+    def test_roundtrip_property(self, data, index, block):
         from repro.lsl.options import StripeOption
 
+        # count is a 16-bit wire field: keep index + extra within it
+        extra = data.draw(
+            st.integers(min_value=1, max_value=min(0xFF, 0xFFFF - index))
+        )
         opt = StripeOption(index=index, count=index + extra, block=block)
         assert decode_options(encode_options([opt])) == [opt]
+
+    def test_count_beyond_16_bits_rejected(self):
+        from repro.lsl.options import StripeOption
+
+        assert StripeOption(index=0, count=0xFFFF).count == 0xFFFF
+        with pytest.raises(ValueError, match="count"):
+            StripeOption(index=0xFF00, count=0x10000)
 
 
 class TestMulticastWireOptionsUnderCorruption:

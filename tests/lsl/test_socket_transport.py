@@ -14,8 +14,9 @@ from repro.lsl.faults import (
     RetryPolicy,
 )
 from repro.lsl.header import SessionHeader, new_session_id
-from repro.lsl.options import LooseSourceRoute
+from repro.lsl.options import LooseSourceRoute, ResumeOffset, StripeOption
 from repro.lsl.socket_transport import (
+    RESUME_ACK,
     DepotServer,
     SessionEnded,
     SinkServer,
@@ -25,6 +26,7 @@ from repro.lsl.socket_transport import (
     read_header,
     send_session,
 )
+from repro.obs.timeline import SessionTimeline
 from repro.util.rng import RngStream
 
 
@@ -114,9 +116,9 @@ class TestRouteTableRelay:
 
 
 class TestRobustness:
-    def test_large_payload_through_small_buffer(self):
+    def test_large_payload_staged_through_a_depot(self):
         payload = RngStream(4).generator.bytes(2_000_000)
-        with SinkServer() as sink, DepotServer(buffer_size=16 << 10) as depot:
+        with SinkServer() as sink, DepotServer() as depot:
             header = make_header(sink)
             send_session(payload, header, depot.address)
             got = sink.wait_for(header.hex_id, timeout=30)
@@ -209,7 +211,9 @@ class TestCloseSemantics:
         # a half-open session: header sent, payload never finished
         conn = socket.create_connection(sink.address, timeout=5)
         try:
-            header = make_header(sink)
+            header = make_header(sink).with_options(
+                (ResumeOffset(total=1000),)
+            )
             conn.sendall(header.encode())
             conn.sendall(b"partial")
             time.sleep(0.1)  # let the handler block in recv
@@ -226,7 +230,9 @@ class TestCloseSemantics:
         sink = SinkServer()
         conn = socket.create_connection(sink.address, timeout=5)
         try:
-            header = make_header(sink)
+            header = make_header(sink).with_options(
+                (ResumeOffset(total=1000),)
+            )
             conn.sendall(header.encode())
             time.sleep(0.1)
             sink.kill()  # aborts the connection instead of waiting
@@ -394,3 +400,130 @@ class TestRecoveryAcceptance:
             sink.close()
             if restarted is not None:
                 restarted.close()
+
+
+def settle(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def read_ack(sock):
+    """The next 8-byte acknowledgement, or None if the peer closed."""
+    data = sock.recv(RESUME_ACK.size)
+    if not data:
+        return None
+    return RESUME_ACK.unpack(data + _read_exact(sock, RESUME_ACK.size - len(data)))[0]
+
+
+class TestMalformedSessions:
+    """Headers and streams the one session protocol refuses loudly."""
+
+    @pytest.mark.parametrize("server_cls", [SinkServer, DepotServer])
+    def test_header_without_resume_option_is_rejected(self, server_cls):
+        with SinkServer() as sink, server_cls() as server:
+            header = make_header(sink)
+            with socket.create_connection(server.address, timeout=5) as s:
+                s.sendall(header.encode())
+                assert read_ack(s) is None  # closed without an ack
+            settle(lambda: server.errors)
+        assert isinstance(server.errors[0], ValueError)
+        assert "lacks a resume option" in str(server.errors[0])
+        assert sink.payloads == {}
+
+    @pytest.mark.parametrize("server_cls", [SinkServer, DepotServer])
+    def test_chunk_past_the_total_is_refused_as_corrupt(self, server_cls):
+        with SinkServer() as sink, server_cls() as server:
+            header = make_header(sink).with_options((ResumeOffset(total=10),))
+            with socket.create_connection(server.address, timeout=5) as s:
+                s.sendall(header.encode())
+                assert read_ack(s) == 0
+                s.sendall(b"x" * 25)
+                s.shutdown(socket.SHUT_WR)
+                assert read_ack(s) is None  # no final ack for 10 of 25
+            settle(lambda: server.errors)
+        assert isinstance(server.errors[0], ValueError)
+        assert "10-byte share" in str(server.errors[0])
+        assert sink.payloads == {}
+
+    @pytest.mark.parametrize("stripe", [None, StripeOption(index=1, count=2)])
+    def test_unallocatable_total_is_recorded_and_serving_continues(
+        self, stripe
+    ):
+        timeline = SessionTimeline()
+        with SinkServer(name="sink", timeline=timeline) as sink, DepotServer(
+            name="depot", timeline=timeline
+        ) as depot:
+            options = (ResumeOffset(total=1 << 62),)
+            if stripe is not None:
+                options += (stripe,)
+            header = make_header(sink).with_options(options)
+            for server in (depot, sink):
+                with socket.create_connection(server.address, timeout=5) as s:
+                    s.sendall(header.encode())
+                    assert read_ack(s) is None
+                settle(lambda server=server: server.errors)
+                assert isinstance(server.errors[0], ValueError)
+                assert "cannot stage" in str(server.errors[0])
+            errors = [e.node for e in timeline.events() if e.event == "error"]
+            assert sorted(errors) == ["depot", "sink"]
+            # both servers keep serving
+            follow_up = make_header(sink)
+            send_session(b"still serving", follow_up, depot.address)
+            assert sink.wait_for(follow_up.hex_id) == b"still serving"
+
+
+class _HoldFirstSink(SinkServer):
+    """Holds its first connection's handler before it reads or claims."""
+
+    def __init__(self, *args, **kwargs):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._gate = threading.Lock()
+        self._first = True
+        super().__init__(*args, **kwargs)
+
+    def handle(self, conn):
+        with self._gate:
+            first, self._first = self._first, False
+        if first:
+            self.entered.set()
+            self.release.wait(timeout=10)
+        super().handle(conn)
+
+
+class TestStaleConnectionFence:
+    """A stale connection accepted first but claiming last (a stale
+    upstream after a failover) must not supersede the live stream."""
+
+    def test_late_claim_of_an_earlier_connection_gets_no_ack(self):
+        payload = RngStream(40).generator.bytes(200_000)
+        half = len(payload) // 2
+        sink = _HoldFirstSink(name="sink")
+        stale = live = None
+        try:
+            header = make_header(sink).with_options(
+                (ResumeOffset(total=len(payload)),)
+            )
+            stale = socket.create_connection(sink.address, timeout=5)
+            assert sink.entered.wait(timeout=5)  # accepted first, held
+            stale.sendall(header.encode())
+            live = socket.create_connection(sink.address, timeout=5)
+            live.sendall(header.encode())
+            assert read_ack(live) == 0
+            live.sendall(payload[:half])
+            settle(lambda: sink.staged_bytes(header.hex_id) >= half)
+            sink.release.set()  # the stale handler now claims, too late
+            assert read_ack(stale) is None
+            live.sendall(payload[half:])
+            live.shutdown(socket.SHUT_WR)
+            assert read_ack(live) == len(payload)
+            assert sink.wait_for(header.hex_id) == payload
+        finally:
+            sink.release.set()
+            for sock in (stale, live):
+                if sock is not None:
+                    sock.close()
+            sink.close()
+        assert sink.errors == []

@@ -85,58 +85,58 @@ class TestStripedLedger:
         ledger = self.make()
         for k in range(3):
             data = _stripe_slice(payload, k, 3, 1 << 10)
-            gen, start = ledger.claim_stripe(k)
-            assert start == 0
-            assert ledger.append_stripe(k, gen, data)
+            assert ledger.claim_stripe(k, seq=k + 1) == 0
+            assert ledger.append_stripe(k, k + 1, data)
         assert ledger.complete
-        assert bytes(ledger.data) == payload
+        assert ledger.read() == payload
         for k in range(3):
             data = _stripe_slice(payload, k, 3, 1 << 10)
             assert ledger.read_stripe(k, 0, len(data)) == data
 
     def test_stale_generation_append_is_dropped(self):
         ledger = self.make()
-        gen, _ = ledger.claim_stripe(0)
-        ledger.claim_stripe(0)  # supersedes the first connection
-        assert not ledger.append_stripe(0, gen, b"x" * 100)
+        ledger.claim_stripe(0, seq=1)
+        ledger.claim_stripe(0, seq=2)  # supersedes the first connection
+        assert not ledger.append_stripe(0, 1, b"x" * 100)
         assert ledger.stripe_acked(0) == 0
 
     def test_resume_appends_from_stripe_watermark(self):
         payload = payload_bytes(10_000)
         data = _stripe_slice(payload, 1, 3, 1 << 10)
         ledger = self.make()
-        gen, _ = ledger.claim_stripe(1)
-        ledger.append_stripe(1, gen, data[:1500])
-        gen2, start = ledger.claim_stripe(1)
-        assert gen2 > gen
-        assert start == 1500
-        ledger.append_stripe(1, gen2, data[1500:])
+        ledger.claim_stripe(1, seq=1)
+        ledger.append_stripe(1, 1, data[:1500])
+        assert ledger.claim_stripe(1, seq=2) == 1500
+        assert ledger.stripe_generation(1) == 2
+        ledger.append_stripe(1, 2, data[1500:])
         assert ledger.stripe_acked(1) == len(data)
         assert ledger.read_stripe(1, 0, len(data)) == data
+
+    def test_claims_of_other_stripes_do_not_fence(self):
+        ledger = self.make()
+        assert ledger.claim_stripe(0, seq=7) == 0
+        assert ledger.claim_stripe(1, seq=3) == 0
+        assert ledger.append_stripe(0, 7, b"a")
+        assert ledger.append_stripe(1, 3, b"b")
 
     def test_note_stripe_sent_counts_retransmissions(self):
         ledger = self.make()
         assert ledger.note_stripe_sent(0, 0, 1000) == 0
         assert ledger.note_stripe_sent(0, 500, 1500) == 500
 
-    def test_plain_api_raises_on_striped_ledger(self):
-        ledger = self.make()
-        with pytest.raises(ValueError):
-            ledger.claim()
-        with pytest.raises(ValueError):
-            ledger.append(0, b"x")
-
-    def test_stripe_api_raises_on_plain_ledger(self):
+    def test_single_stripe_ledger_is_stripe_zero_of_one(self):
         ledger = SessionLedger(1000)
+        assert ledger.stripe_total(0) == 1000
+        assert ledger.claim_stripe(0, seq=1) == 0
+        assert ledger.append_stripe(0, 1, b"x" * 1000)
+        assert ledger.read() == b"x" * 1000
         with pytest.raises(ValueError):
-            ledger.claim_stripe(0)
-        with pytest.raises(ValueError):
-            ledger.stripe_total(0)
+            ledger.stripe_total(1)
 
     def test_stripe_index_bounds_checked(self):
         ledger = self.make(stripes=2)
         with pytest.raises(ValueError):
-            ledger.claim_stripe(2)
+            ledger.claim_stripe(2, seq=1)
 
     def test_matches_compares_layout(self):
         ledger = self.make(stripes=3, block=1 << 10)
@@ -148,12 +148,18 @@ class TestStripedLedger:
         payload = payload_bytes(3_000)
         ledger = self.make(total=3_000)
         for k in range(3):
-            gen, _ = ledger.claim_stripe(k)
+            ledger.claim_stripe(k, seq=1)
             ledger.append_stripe(
-                k, gen, _stripe_slice(payload, k, 3, 1 << 10)
+                k, 1, _stripe_slice(payload, k, 3, 1 << 10)
             )
         assert ledger.claim_completion()
         assert not ledger.claim_completion()
+
+    def test_unallocatable_striped_total_is_a_value_error(self):
+        # the stripe shares of a 2**62-byte session are computed, not
+        # iterated block by block, so this fails fast and loudly
+        with pytest.raises(ValueError, match="cannot stage"):
+            SessionLedger(1 << 62, stripes=3)
 
 
 def make_header(sink, hops=()):
